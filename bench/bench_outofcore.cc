@@ -10,11 +10,12 @@
 //      budget (checked after every query), and the constrained run
 //      actually evicts — proving the corpus was served out of core, not
 //      silently cached whole.
-//   3. Store parity: a sequential scan through the DiskStore returns
-//      bit-identical NodeRecords to a PageStore over the same document at
-//      the same granularity, with identical read counts (NumPages) and
-//      identical partition decisions; the pread fallback mode (no mapping,
-//      explicit block I/O) agrees record-for-record too.
+//   3. Store parity: a sequential scan through the DiskStore returns the
+//      source document's tag, subtree extent, level and text numbering at
+//      every node, reading each block exactly once (NumPages), and its
+//      partition decisions equal PartitionSubtrees on the document; the
+//      pread fallback mode (no mapping, explicit block I/O) agrees
+//      record-for-record too.
 //
 // Exit status is non-zero on any violation. The BENCH_outofcore.json
 // artifact pins the per-operator work counters of the disk-served plans:
@@ -34,7 +35,7 @@
 #include "engine/engine.h"
 #include "storage/btsx2.h"
 #include "storage/disk_store.h"
-#include "storage/page_store.h"
+#include "storage/node_store.h"
 
 using blossomtree::bench::BenchFlags;
 using blossomtree::bench::ParseFlags;
@@ -209,30 +210,38 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // Store parity: DiskStore vs PageStore at the same granularity.
+  // Store parity: DiskStore records and partitions vs the source document.
   {
-    blossomtree::storage::PageStore pages(*doc, /*page_bytes=*/4096);
+    namespace xml = blossomtree::xml;
+    const size_t total = (*store)->NumNodes();
+    if (total != doc->NumNodes()) {
+      std::printf("FAIL: store holds %zu nodes, document %zu\n", total,
+                  doc->NumNodes());
+      ok = false;
+    }
     blossomtree::storage::ScanCursor dc;
-    blossomtree::storage::ScanCursor pc;
-    for (blossomtree::xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
-      blossomtree::storage::NodeRecord a = (*store)->Get(n, &dc);
-      blossomtree::storage::NodeRecord b = pages.Get(n, &pc);
-      if (std::memcmp(&a, &b, sizeof a) != 0) {
-        std::printf("FAIL: record mismatch vs PageStore at node %u\n", n);
+    uint32_t text_ref = 0;
+    xml::NodeId n = 0;
+    for (; n < std::min(total, doc->NumNodes()); ++n) {
+      blossomtree::storage::NodeRecord r = (*store)->Get(n, &dc);
+      bool elem = doc->IsElement(n);
+      if (r.tag != (elem ? doc->Tag(n) : xml::kNullTag) ||
+          r.subtree_end != doc->SubtreeEnd(n) || r.level != doc->Level(n) ||
+          r.text_ref != (elem ? static_cast<uint32_t>(-1) : text_ref++)) {
+        std::printf("FAIL: record mismatch vs document at node %u\n", n);
         ok = false;
         break;
       }
     }
-    if (dc.reads != pc.reads || dc.reads != (*store)->NumPages()) {
-      std::printf("FAIL: sequential scan reads %llu (disk) vs %llu (page), "
-                  "expected %zu\n",
-                  (unsigned long long)dc.reads, (unsigned long long)pc.reads,
-                  (*store)->NumPages());
+    if (n == total && dc.reads != (*store)->NumPages()) {
+      std::printf("FAIL: sequential scan read %llu blocks, expected %zu\n",
+                  (unsigned long long)dc.reads, (*store)->NumPages());
       ok = false;
     }
     for (size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
-      if ((*store)->Partition(k) != pages.Partition(k)) {
-        std::printf("FAIL: partition mismatch vs PageStore at k=%zu\n", k);
+      if ((*store)->Partition(k) !=
+          blossomtree::storage::PartitionSubtrees(*doc, k)) {
+        std::printf("FAIL: partition mismatch vs document at k=%zu\n", k);
         ok = false;
       }
     }

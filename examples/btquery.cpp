@@ -1,20 +1,24 @@
-// btquery — command-line query driver over XML or succinct (.btsx) files.
+// btquery — command-line query driver over XML or BTSX v2 (.btsx2) files.
 //
 // Usage:
-//   btquery [options] <file.xml|file.btsx> <query>
+//   btquery [options] <file.xml|file.btsx2> <query>
 //   options:
 //     --engine=blossom|nav     evaluation engine (default blossom)
 //     --strategy=auto|pl|nl    //-join strategy for blossom plans
 //     --explain                print the physical plan
 //     --advise                 print the cost model's recommendation
-//     --save-btsx=<path>       save the parsed document in succinct form
+//     --save-btsx=<path>       save the document as BTSX v2 (what btingest
+//                              writes; query it back as <path>)
 //     --trace=<path>           record a query-lifecycle trace and export it
 //                              as Chrome trace_event JSON (load the file in
 //                              chrome://tracing or https://ui.perfetto.dev)
 //     --metrics                print the engine's metric counters and
 //                              latency histogram summaries after the query
 //
-// The query may be a path expression or a full FLWOR expression.
+// The query may be a path expression or a full FLWOR expression. A .btsx2
+// file is opened as a storage::DiskStore (mmap, no XML parse): queries run
+// on its document facade with scans going through the store, and a valid
+// `.btsi` sidecar next to it enables index seeks.
 
 #include <cstdio>
 #include <cstring>
@@ -25,7 +29,8 @@
 #include "flwor/parser.h"
 #include "opt/cost_model.h"
 #include "pattern/builder.h"
-#include "storage/succinct.h"
+#include "storage/btsx2.h"
+#include "storage/disk_store.h"
 #include "util/trace.h"
 #include "xml/parser.h"
 
@@ -84,26 +89,36 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Load the document (succinct or XML by extension).
-  Result<std::unique_ptr<xml::Document>> loaded =
-      EndsWith(file, ".btsx") ? storage::LoadDocument(file)
-                              : xml::ParseDocumentFile(file);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load failed: %s\n",
-                 loaded.status().ToString().c_str());
+  // Load the document: a .btsx2 file is mapped as a DiskStore and queried
+  // through its document facade; anything else is parsed as XML.
+  std::unique_ptr<storage::DiskStore> store;
+  std::unique_ptr<xml::Document> parsed_doc;
+  Status load_status;
+  if (EndsWith(file, ".btsx2")) {
+    auto opened = storage::DiskStore::Open(file);
+    load_status = opened.status();
+    if (opened.ok()) store = opened.MoveValue();
+  } else {
+    auto loaded = xml::ParseDocumentFile(file);
+    load_status = loaded.status();
+    if (loaded.ok()) parsed_doc = loaded.MoveValue();
+  }
+  if (!load_status.ok()) {
+    std::fprintf(stderr, "load failed: %s\n", load_status.ToString().c_str());
     return 1;
   }
-  auto doc = loaded.MoveValue();
+  const xml::Document* doc =
+      store != nullptr ? store->document() : parsed_doc.get();
   std::fprintf(stderr, "loaded %zu nodes (%s)\n", doc->NumNodes(),
                doc->IsRecursive() ? "recursive" : "non-recursive");
 
   if (!save_btsx.empty()) {
-    Status st = storage::SaveDocument(*doc, save_btsx);
+    Status st = storage::WriteBtsx2(*doc, save_btsx);
     if (!st.ok()) {
       std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    std::fprintf(stderr, "saved succinct form to %s\n", save_btsx.c_str());
+    std::fprintf(stderr, "saved BTSX v2 to %s\n", save_btsx.c_str());
   }
 
   auto parsed = flwor::ParseQuery(query);
@@ -129,13 +144,19 @@ int main(int argc, char** argv) {
   }
   opts.trace = !trace_path.empty();
   opts.collect_metrics = metrics;
+  // As QueryService does for disk-backed documents: scans go through the
+  // store's block cache, and its `.btsi` sidecar (if any) enables seeks.
+  if (store != nullptr) {
+    opts.plan.store = store.get();
+    opts.plan.index = store->index();
+  }
 
   Result<std::string> result("");
   if (engine_name == "nav") {
-    baseline::NavigationalEvaluator nav(doc.get());
+    baseline::NavigationalEvaluator nav(doc);
     result = nav.EvaluateToXml(**parsed);
   } else {
-    engine::BlossomTreeEngine engine(doc.get(), opts);
+    engine::BlossomTreeEngine engine(doc, opts);
     result = engine.EvaluateToXml(**parsed);
     if (explain) {
       std::fprintf(stderr, "plan:\n%s", engine.LastExplain().c_str());

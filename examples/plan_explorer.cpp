@@ -20,7 +20,7 @@
 #include "opt/planner.h"
 #include "pattern/builder.h"
 #include "pattern/decompose.h"
-#include "storage/page_store.h"
+#include "storage/node_store.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"

@@ -12,7 +12,7 @@ IndexSeekOperator::IndexSeekOperator(const xml::Document* doc,
                                      const pattern::NokTree* nok,
                                      std::vector<xml::NodeId> candidates,
                                      util::ResourceGuard* guard,
-                                     const storage::NodeStore* store)
+                                     const storage::DiskStore* store)
     : doc_(doc),
       matcher_(doc, tree, nok),
       candidates_(std::move(candidates)),

@@ -5,7 +5,7 @@
 
 #include "exec/nok_scan.h"
 #include "exec/operator.h"
-#include "storage/node_store.h"
+#include "storage/disk_store.h"
 #include "util/resource_guard.h"
 #include "xml/document.h"
 
@@ -35,7 +35,7 @@ class IndexSeekOperator : public NestedListOperator {
   ///        planner's access-path choice (empty = provably-empty NoK).
   /// \param guard optional per-query resource guard, sampled every ~512
   ///        probes and charged for every emitted NestedList cell.
-  /// \param store optional paged store backing `doc`: probed candidates are
+  /// \param store optional DiskStore backing `doc`: probed candidates are
   ///        touched through it so residency counters see the seek's access
   ///        pattern.
   IndexSeekOperator(const xml::Document* doc,
@@ -43,7 +43,7 @@ class IndexSeekOperator : public NestedListOperator {
                     const pattern::NokTree* nok,
                     std::vector<xml::NodeId> candidates,
                     util::ResourceGuard* guard = nullptr,
-                    const storage::NodeStore* store = nullptr);
+                    const storage::DiskStore* store = nullptr);
 
   const std::vector<pattern::SlotId>& top_slots() const override {
     return matcher_.top_slots();
@@ -82,7 +82,7 @@ class IndexSeekOperator : public NestedListOperator {
   uint64_t wall_nanos_ = 0;
 
   util::ResourceGuard* guard_;
-  const storage::NodeStore* store_;
+  const storage::DiskStore* store_;
   storage::ScanCursor io_cursor_;
 };
 

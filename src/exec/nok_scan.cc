@@ -235,7 +235,7 @@ NokScanOperator::NokScanOperator(const xml::Document* doc,
                                  util::ThreadPool* pool,
                                  util::ResourceGuard* guard,
                                  NokResultCache* cache,
-                                 const storage::NodeStore* store,
+                                 const storage::DiskStore* store,
                                  ExecOptions exec)
     : doc_(doc),
       tree_(tree),

@@ -11,8 +11,8 @@
 #include "exec/result_cache.h"
 #include "nestedlist/nested_list.h"
 #include "pattern/decompose.h"
+#include "storage/disk_store.h"
 #include "storage/node_store.h"
-#include "storage/page_store.h"
 #include "util/resource_guard.h"
 #include "util/thread_pool.h"
 #include "xml/document.h"
@@ -107,11 +107,11 @@ class NokScanOperator : public NestedListOperator {
   ///        and replay a hit's materialized matches without scanning;
   ///        complete cold scans fill it. Range-restricted scans (the BNLJ
   ///        inner side) bypass it. nullptr = the exact uncached scan.
-  /// \param store optional paged node store backing `doc` (an in-RAM
-  ///        PageStore or an out-of-core DiskStore): the scan drivers touch
-  ///        every visited node through it with a per-scan cursor, so block
-  ///        residency and page-read counts reflect the scan's real access
-  ///        pattern — deterministically, independent of concurrent readers.
+  /// \param store optional DiskStore backing `doc`: the scan drivers
+  ///        touch every visited node through it with a per-scan cursor, so
+  ///        block residency and block-read counts reflect the scan's real
+  ///        access pattern — deterministically, independent of concurrent
+  ///        readers.
   ///        Partitioning also goes through the store when attached.
   /// \param exec batch/vectorization knobs (DESIGN.md §16).
   /// `exec.vectorize` selects the chunked scan driver with SIMD tag-id
@@ -122,7 +122,7 @@ class NokScanOperator : public NestedListOperator {
                   util::ThreadPool* pool = nullptr,
                   util::ResourceGuard* guard = nullptr,
                   NokResultCache* cache = nullptr,
-                  const storage::NodeStore* store = nullptr,
+                  const storage::DiskStore* store = nullptr,
                   ExecOptions exec = {});
 
   const std::vector<pattern::SlotId>& top_slots() const override {
@@ -260,9 +260,9 @@ class NokScanOperator : public NestedListOperator {
   /// is attached): the pattern half of every cache key this scan uses.
   std::string canonical_nok_;
 
-  /// Optional paged store behind the document; the serial drivers thread
+  /// Optional DiskStore behind the document; the serial drivers thread
   /// `io_cursor_` through it (parallel partitions use private cursors).
-  const storage::NodeStore* store_;
+  const storage::DiskStore* store_;
   storage::ScanCursor io_cursor_;
 
   ExecOptions exec_;

@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/file_io.h"
+
 namespace blossomtree {
 namespace index {
 
@@ -154,11 +156,7 @@ Result<std::string> EncodeBtsi(const StructuralIndex& index) {
 Status WriteBtsi(const StructuralIndex& index, const std::string& path) {
   Result<std::string> encoded = EncodeBtsi(index);
   BT_RETURN_NOT_OK(encoded.status());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open '" + path + "' for write");
-  out.write(encoded->data(), static_cast<std::streamsize>(encoded->size()));
-  if (!out) return Status::IOError("write failed for '" + path + "'");
-  return Status::OK();
+  return util::WriteFileAtomic(path, *encoded);
 }
 
 Result<std::unique_ptr<StructuralIndex>> DecodeBtsi(std::string_view image) {

@@ -62,7 +62,8 @@ enum BtsiSection : size_t {
 /// \brief Serializes an index into BTSI bytes.
 Result<std::string> EncodeBtsi(const StructuralIndex& index);
 
-/// \brief Writes the BTSI encoding to `path`.
+/// \brief Writes the BTSI encoding to `path` atomically
+/// (util::WriteFileAtomic).
 Status WriteBtsi(const StructuralIndex& index, const std::string& path);
 
 /// \brief Parses and fully validates a BTSI image (header, section table,

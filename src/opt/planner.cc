@@ -164,7 +164,7 @@ class TreePlanner {
               bool* used_pipelined, bool* used_bnlj,
               util::ThreadPool* pool, util::ResourceGuard* guard,
               const CostModel* cost, exec::NokResultCache* result_cache,
-              const storage::NodeStore* store, exec::ExecOptions exec)
+              const storage::DiskStore* store, exec::ExecOptions exec)
       : doc_(doc),
         tree_(tree),
         decomp_(decomp),
@@ -338,7 +338,7 @@ class TreePlanner {
   util::ResourceGuard* guard_;
   const CostModel* cost_;
   exec::NokResultCache* result_cache_;
-  const storage::NodeStore* store_;
+  const storage::DiskStore* store_;
   exec::ExecOptions exec_;
 };
 

@@ -17,14 +17,6 @@ CorpusDocument::CorpusDocument(std::string name,
       disk_(std::move(disk)),
       generation_(disk_->generation()) {}
 
-const storage::NodeStore& CorpusDocument::store() const {
-  if (disk_ != nullptr) return *disk_;
-  std::call_once(store_once_, [this] {
-    store_ = std::make_unique<storage::PageStore>(*doc_);
-  });
-  return *store_;
-}
-
 Corpus::Corpus(CorpusOptions options) {
   if (options.plan_cache.enabled) {
     plan_cache_ = std::make_unique<engine::PlanCache>(options.plan_cache);

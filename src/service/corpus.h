@@ -10,8 +10,6 @@
 #include "engine/plan_cache.h"
 #include "exec/result_cache.h"
 #include "storage/disk_store.h"
-#include "storage/node_store.h"
-#include "storage/page_store.h"
 #include "util/cache.h"
 #include "util/status.h"
 #include "xml/document.h"
@@ -25,8 +23,7 @@ namespace service {
 /// concurrent Evict or Replace.
 ///
 /// The document is immutable (xml::Document is frozen by Finish()), so
-/// concurrent queries share it without locks; the lazily built PageStore is
-/// constructed at most once under a std::once_flag.
+/// concurrent queries share it without locks.
 class CorpusDocument {
  public:
   CorpusDocument(std::string name, std::unique_ptr<xml::Document> doc);
@@ -51,15 +48,11 @@ class CorpusDocument {
   /// than an in-RAM build.
   bool disk_backed() const { return disk_ != nullptr; }
 
-  /// \brief The shared paged node store for this document: the DiskStore's
-  /// block-cached substrate for disk-backed entries, else an in-RAM
-  /// PageStore built on first use. Thread-safe; the store's own counters
-  /// are atomic and per-scan state lives in caller cursors.
-  const storage::NodeStore& store() const;
-
-  /// \brief The DiskStore behind a disk-backed entry — the observability
-  /// plane samples its block-cache residency (DESIGN.md §15). nullptr for
-  /// in-RAM builds.
+  /// \brief The DiskStore behind a disk-backed entry: the block-cached
+  /// node store its queries scan through, and the block-cache residency the
+  /// observability plane samples (DESIGN.md §15). nullptr for in-RAM
+  /// builds, which scan the document directly. Thread-safe; the store's
+  /// counters are atomic and per-scan state lives in caller cursors.
   const storage::DiskStore* disk() const { return disk_.get(); }
 
   /// \brief Structural index over the document (DESIGN.md §14): the `.btsi`
@@ -75,8 +68,6 @@ class CorpusDocument {
   std::unique_ptr<xml::Document> doc_;
   std::unique_ptr<storage::DiskStore> disk_;
   uint64_t generation_ = 0;
-  mutable std::once_flag store_once_;
-  mutable std::unique_ptr<storage::PageStore> store_;
 };
 
 /// \brief Corpus-wide knobs: the shared cache budgets (DESIGN.md §12).

@@ -255,11 +255,9 @@ void QueryService::RunQuery(const std::shared_ptr<QueryTicket>& ticket) {
   eo.shared_plan_cache = corpus_->plan_cache();
   eo.plan.result_cache = corpus_->result_cache();
   // Scans of disk-backed documents touch nodes through the DiskStore's
-  // block cache so residency stays under its budget; in-RAM documents keep
-  // the plain document scan (their PageStore stays lazy, bench-only).
-  if (ticket->doc_->disk_backed()) {
-    eo.plan.store = &ticket->doc_->store();
-  }
+  // block cache so residency stays under its budget; in-RAM documents
+  // (disk() == nullptr) keep the plain document scan.
+  eo.plan.store = ticket->doc_->disk();
   // The `.btsi` structural index the corpus loaded with the document (if
   // any): plans cost index seeks against scans per NoK and short-circuit
   // provably-empty patterns. Access paths never change results.

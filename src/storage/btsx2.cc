@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <vector>
+
+#include "util/file_io.h"
 
 namespace blossomtree {
 namespace storage {
@@ -207,11 +208,7 @@ Result<std::string> EncodeBtsx2(const xml::Document& doc) {
 Status WriteBtsx2(const xml::Document& doc, const std::string& path) {
   Result<std::string> encoded = EncodeBtsx2(doc);
   BT_RETURN_NOT_OK(encoded.status());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open '" + path + "' for write");
-  out.write(encoded->data(), static_cast<std::streamsize>(encoded->size()));
-  if (!out) return Status::IOError("write failed for '" + path + "'");
-  return Status::OK();
+  return util::WriteFileAtomic(path, *encoded);
 }
 
 Result<Btsx2View> MapBtsx2(std::string_view image) {
@@ -393,7 +390,7 @@ Status ValidateBtsx2Deep(const Btsx2View& v) {
     }
     if (r.tag == xml::kNullTag) {
       // Text node: a leaf whose text_ref numbers text nodes in document
-      // order (the invariant PageStore mirrors).
+      // order (the numbering EncodeBtsx2 writes).
       if (r.subtree_end != id) return Corrupt("text node with children");
       if (r.text_ref != text_refs || r.text_ref >= v.num_text_spans) {
         return Corrupt("text ref out of order");

@@ -12,12 +12,11 @@
 namespace blossomtree {
 namespace storage {
 
-/// BTSX v2: the out-of-core successor of the v1 succinct encoding
-/// (storage/succinct.h). Where v1 persists a *compressed* event stream that
-/// must be decoded node-by-node into a fresh Document (O(parse) on open),
-/// v2 persists the *decoded paged layout* itself — the fixed-width
-/// NodeRecord stream plus every side table the engine reads — so a file
-/// can be mmap'd and served directly (O(open)). See DESIGN.md §13.
+/// BTSX v2: the on-disk document format. It persists the *decoded paged
+/// layout* — the fixed-width NodeRecord stream plus every side table the
+/// engine reads — so a file can be mmap'd and served directly (O(open), no
+/// XML parse). The version field stays 2: an earlier compressed event-stream
+/// encoding ("v1", O(parse) on open) was retired. See DESIGN.md §13.
 ///
 /// Layout (all integers little-endian, fixed width; sections 16-byte
 /// aligned so typed pointers into the mapping are well-aligned):
@@ -99,7 +98,9 @@ struct Btsx2View {
 /// the format's 32-bit offsets, and on unfinished documents.
 Result<std::string> EncodeBtsx2(const xml::Document& doc);
 
-/// \brief Writes the BTSX v2 encoding to `path` (the `btingest` backend).
+/// \brief Writes the BTSX v2 encoding to `path` (the `btingest` and
+/// `btquery --save-btsx` backend) through util::WriteFileAtomic, so a
+/// DiskStore still serving the old file is never cut short.
 Status WriteBtsx2(const xml::Document& doc, const std::string& path);
 
 /// \brief Parses and *structurally* validates a BTSX v2 image: header

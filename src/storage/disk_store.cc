@@ -105,6 +105,33 @@ std::shared_ptr<const DiskStore::Block> DiskStore::PinBlock(
   return block;
 }
 
+std::vector<NodeRange> DiskStore::Partition(size_t max_partitions) const {
+  std::vector<xml::NodeId> cuts;
+  if (num_nodes_ > 0) {
+    ScanCursor cursor;
+    // Planning walk: pages through the store without counting reads (a
+    // scan's records_read covers scan I/O only).
+    cursor.count_reads = false;
+    cuts.push_back(0);
+    // Children of the root are the level-1 records; each one's subtree_end
+    // jumps to the next. An unvalidated file can carry extents pointing
+    // past the record array, so every index is bounds-checked: out-of-range
+    // walks terminate (yielding the single whole-store range) instead of
+    // reading out of bounds.
+    xml::NodeId c = (Get(0, &cursor).subtree_end > 0 && num_nodes_ > 1)
+                        ? 1
+                        : xml::kNullNode;
+    while (c != xml::kNullNode && c < num_nodes_) {
+      cuts.push_back(c);
+      xml::NodeId next = Get(c, &cursor).subtree_end + 1;
+      c = (next > c && next < num_nodes_ && Get(next, &cursor).level == 1)
+              ? next
+              : xml::kNullNode;
+    }
+  }
+  return GroupSubtreeCuts(cuts, num_nodes_, max_partitions);
+}
+
 Status DiskStore::LoadPreadHeader(const std::string& path) {
   char header[kBtsx2HeaderBytes];
   if (!ReadFully(fd_, header, sizeof header, 0)) {

@@ -27,7 +27,7 @@ struct DiskStoreOptions {
   /// heap. false = explicit pread block I/O: nothing is mapped, only the
   /// header is read eagerly, and record blocks are fetched on demand into
   /// the cache — the mode for files larger than address-space comfort, at
-  /// the price of serving only the NodeStore scan API (no document()).
+  /// the price of serving only the record scan API (no document()).
   bool use_mmap = true;
   /// Block granularity of the record-section cache; rounded up to a 4 KiB
   /// multiple (which is also a record multiple, so records never straddle
@@ -52,9 +52,11 @@ struct DiskStoreOptions {
   bool load_index = true;
 };
 
-/// \brief A NodeStore served straight from a BTSX v2 file (DESIGN.md §13):
-/// opening is O(open) — header parse, map, adopt — with no XML parse and no
-/// index build. Resident record blocks are charged against a ResourceGuard
+/// \brief The document-order node store: NodeRecords served straight from
+/// a BTSX v2 file (DESIGN.md §13), with block-granular read counting — the
+/// secondary-storage substrate the NoK scanners and joins run over. Opening
+/// is O(open) — header parse, map, adopt — with no XML parse and no index
+/// build. Resident record blocks are charged against a ResourceGuard
 /// byte budget with LRU replacement (util::ShardedLruCache), so a corpus
 /// larger than the budget stays queryable: blocks fall out and re-fault on
 /// demand (mmap residency is released with madvise(MADV_DONTNEED); pread
@@ -64,27 +66,30 @@ struct DiskStoreOptions {
 /// (AdoptExternal over the image) — the engine runs on it unchanged, and
 /// results are byte-identical to the in-RAM path. Thread-safe for
 /// concurrent readers: per-scan state lives in caller-owned ScanCursors.
-class DiskStore : public NodeStore {
+class DiskStore {
  public:
   static Result<std::unique_ptr<DiskStore>> Open(const std::string& path,
                                                  DiskStoreOptions options = {});
 
-  ~DiskStore() override;
+  ~DiskStore();
   DiskStore(const DiskStore&) = delete;
   DiskStore& operator=(const DiskStore&) = delete;
 
-  // -- NodeStore -------------------------------------------------------------
+  // -- Record scan API -------------------------------------------------------
 
-  size_t NumNodes() const override { return num_nodes_; }
-  size_t NumPages() const override { return num_blocks_; }
-  size_t NodesPerPage() const override { return nodes_per_block_; }
+  size_t NumNodes() const { return num_nodes_; }
+  size_t NumPages() const { return num_blocks_; }
+  size_t NodesPerPage() const { return nodes_per_block_; }
 
   /// \brief The adopted document's (fresh, process-unique) generation in
   /// the mapped modes; the on-disk ingest stamp in pread mode (which has no
   /// document and must not be used as a result-cache identity).
-  uint64_t generation() const override { return generation_; }
+  uint64_t generation() const { return generation_; }
 
-  NodeRecord Get(xml::NodeId n, ScanCursor* cursor) const override {
+  /// \brief Fetches the record for `n` through `cursor`, counting a block
+  /// read when the cursor moves onto a new block. Returned by value: 16
+  /// bytes, and the backing block may be evicted after the cursor moves on.
+  NodeRecord Get(xml::NodeId n, ScanCursor* cursor) const {
     const Block* b = PageTo(n, cursor);
     // memcpy load: block buffers are 16-byte aligned (below), but the
     // copy keeps this path correct for any buffer.
@@ -96,14 +101,19 @@ class DiskStore : public NodeStore {
     return r;
   }
 
-  /// \brief Zero-copy span over the resident block holding `n`, clipped
-  /// to `last`; same per-block read accounting as sequential Gets. The
-  /// typed view is well-formed in every mode: mmap images are
+  /// \brief Batched sequential read (DESIGN.md §16): a zero-copy span of
+  /// consecutive records starting at `n`, extending no further than `last`
+  /// (inclusive) and never past the block `n` lives on. Read accounting is
+  /// identical to fetching the same records one Get() at a time — one read
+  /// per block entered — so batched and node-at-a-time scans report
+  /// bitwise-identical counters. The span stays valid until the next call
+  /// through the same cursor (the cursor's pin keeps the block resident).
+  /// The typed view is well-formed in every mode: mmap images are
   /// page-aligned with 16-byte-aligned section offsets, and heap/pread
   /// buffers come from operator new[] (16-byte aligned by
   /// __STDCPP_DEFAULT_NEW_ALIGNMENT__).
   std::span<const NodeRecord> NextBlock(xml::NodeId n, xml::NodeId last,
-                                        ScanCursor* cursor) const override {
+                                        ScanCursor* cursor) const {
     const Block* b = PageTo(n, cursor);
     size_t first = cursor->page * block_bytes_ / sizeof(NodeRecord);
     size_t end = std::min<size_t>(
@@ -113,15 +123,38 @@ class DiskStore : public NodeStore {
     return {records + (n - first), end - n + 1};
   }
 
-  std::vector<NodeRange> Partition(size_t max_partitions) const override {
-    return PartitionFromRecords(max_partitions);
-  }
+  /// \brief Partitions the stored document into at most `max_partitions`
+  /// contiguous node ranges cut at top-level subtree boundaries — the same
+  /// ranges PartitionSubtrees derives from the document (DESIGN.md §7),
+  /// read off the records by a walk that counts no block reads.
+  std::vector<NodeRange> Partition(size_t max_partitions) const;
 
-  uint64_t PageReads() const override {
+  /// \brief Aggregate block reads across all cursors since the last
+  /// ResetCounters — the I/O proxy metric. Per-cursor totals (exact and
+  /// deterministic per scan) are on the cursors themselves.
+  uint64_t PageReads() const {
     return block_reads_.load(std::memory_order_relaxed);
   }
-  void ResetCounters() const override {
+  void ResetCounters() const {
     block_reads_.store(0, std::memory_order_relaxed);
+  }
+
+  // -- Navigation derived from subtree extents -------------------------------
+
+  /// \brief First child is n+1 when the subtree extends past n.
+  xml::NodeId FirstChild(xml::NodeId n, ScanCursor* cursor) const {
+    NodeRecord r = Get(n, cursor);
+    return r.subtree_end > n ? n + 1 : xml::kNullNode;
+  }
+
+  /// \brief Following sibling = node just past this subtree, iff it sits
+  /// at the same level.
+  xml::NodeId NextSibling(xml::NodeId n, ScanCursor* cursor) const {
+    NodeRecord r = Get(n, cursor);
+    xml::NodeId next = r.subtree_end + 1;
+    if (next >= NumNodes()) return xml::kNullNode;
+    NodeRecord nr = Get(next, cursor);
+    return nr.level == r.level ? next : xml::kNullNode;
   }
 
   // -- Document facade (mapped modes only) -----------------------------------

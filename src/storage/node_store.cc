@@ -1,5 +1,7 @@
 #include "storage/node_store.h"
 
+#include "util/trace.h"
+
 namespace blossomtree {
 namespace storage {
 
@@ -26,33 +28,18 @@ std::vector<NodeRange> GroupSubtreeCuts(const std::vector<xml::NodeId>& cuts,
   return out;
 }
 
-std::vector<NodeRange> NodeStore::PartitionFromRecords(
-    size_t max_partitions) const {
-  size_t total = NumNodes();
+std::vector<NodeRange> PartitionSubtrees(const xml::Document& doc,
+                                         size_t max_partitions) {
+  util::TraceSpan span("storage", "PartitionSubtrees");
   std::vector<xml::NodeId> cuts;
-  if (total > 0) {
-    ScanCursor cursor;
-    // Planning walk: pages through the store without counting reads, so
-    // DiskStore::Partition matches PageStore::Partition's accounting (a
-    // scan's records_read covers scan I/O only, on every store).
-    cursor.count_reads = false;
-    cuts.push_back(0);
-    // Children of the root are the level-1 records; each one's subtree_end
-    // jumps to the next. A store built from an empty or failed document can
-    // carry a root whose subtree_end points past the record array, so every
-    // index is bounds-checked: out-of-range walks terminate (yielding the
-    // single whole-store range) instead of reading out of bounds.
-    xml::NodeId c =
-        (Get(0, &cursor).subtree_end > 0 && total > 1) ? 1 : xml::kNullNode;
-    while (c != xml::kNullNode && c < total) {
+  if (!doc.empty()) {
+    cuts.push_back(doc.Root());
+    for (xml::NodeId c = doc.FirstChild(doc.Root()); c != xml::kNullNode;
+         c = doc.NextSibling(c)) {
       cuts.push_back(c);
-      xml::NodeId next = Get(c, &cursor).subtree_end + 1;
-      c = (next > c && next < total && Get(next, &cursor).level == 1)
-              ? next
-              : xml::kNullNode;
     }
   }
-  return GroupSubtreeCuts(cuts, total, max_partitions);
+  return GroupSubtreeCuts(cuts, doc.NumNodes(), max_partitions);
 }
 
 }  // namespace storage

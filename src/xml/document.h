@@ -219,7 +219,7 @@ class Document {
   }
 
   /// \brief First child in document order. The external path derives it
-  /// from the subtree extent (the paper's succinct-navigation identity:
+  /// from the subtree extent (the paper's preorder-navigation identity:
   /// a non-leaf's first child is the next node in preorder).
   NodeId FirstChild(NodeId n) const {
     if (ext_.records == nullptr) return first_child_[n];

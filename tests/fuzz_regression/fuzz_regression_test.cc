@@ -15,7 +15,6 @@
 #include "index/btsi.h"
 #include "index/structural_index.h"
 #include "storage/btsx2.h"
-#include "storage/succinct.h"
 #include "util/resource_guard.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -95,20 +94,14 @@ TEST(FuzzRegressionTest, ReplayAllFlworInputs) {
 }
 
 // Mirror of fuzz_btsx.cc: every input through the BTSX family's decoders.
-// Inputs that decode must re-encode stably; v2 images that pass deep
-// validation must adopt and serialize; accepted .btsi index images must
-// re-encode byte-identically (the decoder pins the canonical layout).
+// v2 images that pass deep validation must adopt and serialize; accepted
+// .btsi index images must re-encode byte-identically (the decoder pins the
+// canonical layout). The v1_* inputs (a retired encoding) stay as hostile
+// bytes for both.
 TEST(FuzzRegressionTest, ReplayAllBtsxInputs) {
   for (const fs::path& p : InputsIn("btsx")) {
     SCOPED_TRACE(p.filename().string());
     std::string input = ReadFile(p);
-    auto v1 = storage::DecodeSuccinct(input);
-    if (v1.ok()) {
-      std::string first = xml::Serialize(**v1);
-      auto again = storage::DecodeSuccinct(storage::EncodeSuccinct(**v1));
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(xml::Serialize(**again), first);
-    }
     auto v2 = storage::MapBtsx2(input);
     if (v2.ok() && storage::ValidateBtsx2Deep(*v2).ok()) {
       xml::Document adopted;
@@ -122,37 +115,6 @@ TEST(FuzzRegressionTest, ReplayAllBtsxInputs) {
       EXPECT_EQ(*bytes, input);
     }
   }
-}
-
-// The v1 decoder once accepted arbitrary bytes after the event payloads,
-// so a corrupt or concatenated file round-tripped silently as a prefix
-// document.
-TEST(FuzzRegressionTest, BtsxTrailingGarbageRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_trailing_garbage.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// A 2^64-ish tag count once reached vector::reserve and threw
-// std::length_error instead of returning a Status.
-TEST(FuzzRegressionTest, BtsxHostileTagCountRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_hostile_tag_count.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-// (num_events + 3) / 4 once overflowed for a 64-bit event count, passing
-// the bounds check with a tiny byte length.
-TEST(FuzzRegressionTest, BtsxEventCountOverflowRejected) {
-  auto r = storage::DecodeSuccinct(
-      ReadFile(fs::path(BLOSSOMTREE_FUZZ_DIR) /
-               "regressions/btsx/v1_event_count_overflow.btsx"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 // MapBtsx2 once ignored bytes after the last section, accepting

@@ -11,7 +11,6 @@
 #include "exec/twigstack.h"
 #include "opt/planner.h"
 #include "pattern/builder.h"
-#include "storage/succinct.h"
 #include "util/rng.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -172,8 +171,7 @@ TEST_P(FlworPropertyTest, RandomFlworsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlworPropertyTest, ::testing::Range(0, 12));
 
 /// Fuzz-lite robustness: byte-mutated XML never crashes the parser, and
-/// whatever still parses serializes to a re-parsable document; the succinct
-/// codec round-trips every random document.
+/// whatever still parses serializes to a re-parsable document.
 class RobustnessTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RobustnessTest, MutatedXmlNeverCrashes) {
@@ -200,15 +198,6 @@ TEST_P(RobustnessTest, MutatedXmlNeverCrashes) {
           << "serialize produced unparsable output: " << again;
     }
   }
-}
-
-TEST_P(RobustnessTest, SuccinctRoundTripOnRandomDocs) {
-  Rng rng(static_cast<uint64_t>(GetParam()) * 65537 + 11);
-  auto doc = RandomDoc(&rng, 50 + rng.Uniform(200));
-  std::string encoded = storage::EncodeSuccinct(*doc);
-  auto decoded = storage::DecodeSuccinct(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(xml::Serialize(**decoded), xml::Serialize(*doc));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RobustnessTest, ::testing::Range(0, 10));

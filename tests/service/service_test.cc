@@ -88,17 +88,6 @@ TEST(ServiceCorpusTest, ReplaceBumpsGenerationAndKeepsOldHandleAlive) {
   EXPECT_EQ(old_handle->doc()->NumElements(), 7u);
 }
 
-TEST(ServiceCorpusTest, SharedPageStoreIsBuiltOnceAndCarriesGeneration) {
-  Corpus corpus;
-  ASSERT_TRUE(corpus.Add("lib", LibraryDoc()).ok());
-  auto doc = corpus.Get("lib");
-  const storage::NodeStore& s1 = doc->store();
-  const storage::NodeStore& s2 = doc->store();
-  EXPECT_EQ(&s1, &s2);
-  EXPECT_EQ(s1.generation(), doc->generation());
-  EXPECT_EQ(s1.NumNodes(), doc->doc()->NumNodes());
-}
-
 TEST(ServiceCorpusTest, CachesAreOffByDefaultAndOnWhenConfigured) {
   Corpus plain;
   EXPECT_EQ(plain.plan_cache(), nullptr);
@@ -127,8 +116,9 @@ TEST(ServiceCorpusTest, AddDiskServesBtsx2WithoutParsing) {
   EXPECT_EQ(doc->doc()->NumNodes(), ram->NumNodes());
   EXPECT_EQ(doc->generation(), doc->doc()->generation());
   EXPECT_NE(doc->generation(), 0u);
-  // The store() substrate is the DiskStore itself.
-  EXPECT_EQ(doc->store().NumNodes(), ram->NumNodes());
+  // Its scans go through the DiskStore itself.
+  ASSERT_NE(doc->disk(), nullptr);
+  EXPECT_EQ(doc->disk()->NumNodes(), ram->NumNodes());
 
   QueryService svc(&corpus, {});
   auto session = svc.CreateSession("tenant-a");

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -13,7 +16,7 @@
 #include "datagen/datagen.h"
 #include "engine/engine.h"
 #include "storage/btsx2.h"
-#include "storage/page_store.h"
+#include "storage/node_store.h"
 #include "util/thread_pool.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -34,6 +37,47 @@ std::string WriteTemp(const xml::Document& doc, const std::string& tag) {
   Status st = WriteBtsx2(doc, path);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return path;
+}
+
+/// The records a store must serve for `doc`, derived from the document
+/// alone: text refs number the text nodes in document order.
+std::vector<NodeRecord> ExpectedRecords(const xml::Document& doc) {
+  std::vector<NodeRecord> out;
+  uint32_t text_ref = 0;
+  for (xml::NodeId n = 0; n < doc.NumNodes(); ++n) {
+    bool elem = doc.IsElement(n);
+    out.push_back({elem ? doc.Tag(n) : xml::kNullTag, doc.SubtreeEnd(n),
+                   doc.Level(n),
+                   elem ? static_cast<uint32_t>(-1) : text_ref++});
+  }
+  return out;
+}
+
+bool SameRecord(const NodeRecord& a, const NodeRecord& b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Reads every record through one sequential cursor, asserts each equals
+/// the document's, and returns the cursor's block reads.
+uint64_t ExpectRecordsMatchDocument(const DiskStore& store,
+                                    const xml::Document& doc) {
+  std::vector<NodeRecord> expected = ExpectedRecords(doc);
+  EXPECT_EQ(store.NumNodes(), expected.size());
+  ScanCursor cur;
+  for (xml::NodeId n = 0; n < expected.size(); ++n) {
+    NodeRecord r = store.Get(n, &cur);
+    EXPECT_EQ(r.tag, expected[n].tag) << "node " << n;
+    EXPECT_EQ(r.subtree_end, expected[n].subtree_end) << "node " << n;
+    EXPECT_EQ(r.level, expected[n].level) << "node " << n;
+    EXPECT_EQ(r.text_ref, expected[n].text_ref) << "node " << n;
+    if (!SameRecord(r, expected[n])) break;
+  }
+  return cur.reads;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
 }
 
 /// Exhaustive facade comparison: every accessor the engine reads, at every
@@ -110,6 +154,12 @@ TEST_P(DiskStoreDatasetTest, FacadeParityOnGeneratedData) {
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ExpectFacadeParity(*doc, *(*store)->document());
+  // Navigation derived from the records alone matches the DOM pointers.
+  ScanCursor nav;
+  for (xml::NodeId n = 0; n < doc->NumNodes(); ++n) {
+    ASSERT_EQ((*store)->FirstChild(n, &nav), doc->FirstChild(n)) << n;
+    ASSERT_EQ((*store)->NextSibling(n, &nav), doc->NextSibling(n)) << n;
+  }
   std::remove(path.c_str());
 }
 
@@ -148,7 +198,7 @@ TEST(DiskStoreTest, QueriesAreByteIdenticalToRam) {
   std::remove(path.c_str());
 }
 
-TEST(DiskStoreTest, RecordsMatchPageStoreBitForBit) {
+TEST(DiskStoreTest, RecordsMatchDocumentBitForBit) {
   datagen::GenOptions o;
   o.scale = 0.02;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD1Recursive, o);
@@ -157,30 +207,113 @@ TEST(DiskStoreTest, RecordsMatchPageStoreBitForBit) {
   opts.block_bytes = 4096;
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  PageStore pages(*doc, /*page_bytes=*/4096);
-  ASSERT_EQ((*store)->NumNodes(), pages.NumNodes());
-  ASSERT_EQ((*store)->NumPages(), pages.NumPages());
-  ASSERT_EQ((*store)->NodesPerPage(), pages.NodesPerPage());
-  ScanCursor dc;
-  ScanCursor pc;
-  for (xml::NodeId n = 0; n < pages.NumNodes(); ++n) {
-    NodeRecord a = (*store)->Get(n, &dc);
-    NodeRecord b = pages.Get(n, &pc);
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "node " << n;
-  }
-  // Identical access pattern at identical granularity: identical reads.
-  EXPECT_EQ(dc.reads, pc.reads);
-  EXPECT_EQ(dc.reads, (*store)->NumPages());
-  // Partitioning decisions go through the same subtree-cut grouping.
+  ASSERT_EQ((*store)->NodesPerPage(), 4096 / sizeof(NodeRecord));
+  ASSERT_EQ((*store)->NumPages(),
+            (doc->NumNodes() + (*store)->NodesPerPage() - 1) /
+                (*store)->NodesPerPage());
+  // One sequential pass reads every block exactly once.
+  EXPECT_EQ(ExpectRecordsMatchDocument(**store, *doc),
+            (*store)->NumPages());
+  // Partitioning off the records cuts where the document's subtrees do.
   for (size_t k : {1u, 2u, 4u, 7u}) {
-    auto dparts = (*store)->Partition(k);
-    auto pparts = pages.Partition(k);
-    ASSERT_EQ(dparts.size(), pparts.size()) << "k=" << k;
-    for (size_t i = 0; i < pparts.size(); ++i) {
-      EXPECT_TRUE(dparts[i] == pparts[i]) << "k=" << k << " part " << i;
-    }
+    EXPECT_EQ((*store)->Partition(k), PartitionSubtrees(*doc, k))
+        << "k=" << k;
   }
   std::remove(path.c_str());
+}
+
+TEST(DiskStoreTest, RandomAccessCountsOneReadPerBlockSwitch) {
+  // 301 nodes at 256 records per 4 KiB block: two blocks.
+  std::string xml = "<a>";
+  for (int i = 0; i < 300; ++i) xml += "<b/>";
+  xml += "</a>";
+  auto doc = Parse(xml);
+  std::string path = WriteTemp(*doc, "random_access");
+  DiskStoreOptions opts;
+  opts.block_bytes = 4096;
+  auto store = DiskStore::Open(path, opts);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_EQ((*store)->NumPages(), 2u);
+  (*store)->ResetCounters();
+  ScanCursor jumpy;
+  (*store)->Get(0, &jumpy);    // block 0
+  (*store)->Get(1, &jumpy);    // same block: no read
+  (*store)->Get(300, &jumpy);  // block 1
+  (*store)->Get(0, &jumpy);    // block 0 again
+  EXPECT_EQ(jumpy.reads, 3u);
+  // Two interleaved sequential readers each pay one pass: the current
+  // block is per-cursor state, so the aggregate is the exact sum.
+  ScanCursor c1;
+  ScanCursor c2;
+  for (xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
+    (*store)->Get(n, &c1);
+    (*store)->Get(n, &c2);
+  }
+  EXPECT_EQ(c1.reads, 2u);
+  EXPECT_EQ(c2.reads, 2u);
+  EXPECT_EQ((*store)->PageReads(), jumpy.reads + c1.reads + c2.reads);
+  std::remove(path.c_str());
+}
+
+TEST(DiskStoreTest, RewriteWhileServedKeepsOldStoreIntact) {
+  // A store serving file A while A's path is rewritten with a smaller
+  // document B must keep reading A: the writer replaces the file instead
+  // of truncating the mapped inode (which would SIGBUS the old reader).
+  datagen::GenOptions o;
+  o.scale = 0.05;
+  auto a = datagen::GenerateDataset(datagen::Dataset::kD5Dblp, o);
+  auto b = Parse("<a><b>text</b><c x=\"1\"/></a>");
+  std::string path = WriteTemp(*a, "rewrite");
+  auto old_store = DiskStore::Open(path);
+  ASSERT_TRUE(old_store.ok()) << old_store.status().ToString();
+  ASSERT_TRUE((*old_store)->mmap_backed());
+  ASSERT_TRUE(WriteBtsx2(*b, path).ok());
+
+  ScanCursor last;
+  NodeRecord tail = (*old_store)->Get(
+      static_cast<xml::NodeId>(a->NumNodes() - 1), &last);
+  EXPECT_TRUE(SameRecord(tail, ExpectedRecords(*a).back()));
+  ExpectRecordsMatchDocument(**old_store, *a);
+  ExpectFacadeParity(*a, *(*old_store)->document());
+
+  auto fresh = DiskStore::Open(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ExpectRecordsMatchDocument(**fresh, *b);
+  ExpectFacadeParity(*b, *(*fresh)->document());
+  std::remove(path.c_str());
+}
+
+TEST(DiskStoreTest, FailedWriteLeavesTargetAndNoTempFile) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::path(::testing::TempDir()) / "bt_disk_failed_write";
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directory(dir));
+  auto a = Parse("<a><b>old</b></a>");
+  auto b = Parse("<z>new</z>");
+  std::string target = (dir / "corpus.btsx2").string();
+  ASSERT_TRUE(WriteBtsx2(*a, target).ok());
+  std::string before = ReadBytes(target);
+  ASSERT_FALSE(before.empty());
+
+  // Into a missing directory: nothing can be created at all.
+  Status st = WriteBtsx2(*b, (dir / "missing" / "corpus.btsx2").string());
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  // Onto a path that is a directory: the temp file is written in full and
+  // the rename fails, so the temp file must be cleaned up.
+  fs::create_directory(dir / "occupied.btsx2");
+  st = WriteBtsx2(*b, (dir / "occupied.btsx2").string());
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+
+  EXPECT_EQ(ReadBytes(target), before);
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"corpus.btsx2", "occupied.btsx2"}));
+  EXPECT_TRUE(fs::is_empty(dir / "occupied.btsx2"));
+  fs::remove_all(dir);
 }
 
 TEST(DiskStoreTest, PreadModeServesScansWithoutMapping) {
@@ -196,13 +329,10 @@ TEST(DiskStoreTest, PreadModeServesScansWithoutMapping) {
   EXPECT_EQ((*store)->document(), nullptr);
   EXPECT_FALSE((*store)->mmap_backed());
   // The scan API still serves exact records, block by block.
-  PageStore pages(*doc, 4096);
-  ScanCursor dc;
-  ScanCursor pc;
-  for (xml::NodeId n = 0; n < pages.NumNodes(); ++n) {
-    NodeRecord a = (*store)->Get(n, &dc);
-    NodeRecord b = pages.Get(n, &pc);
-    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "node " << n;
+  EXPECT_EQ(ExpectRecordsMatchDocument(**store, *doc), (*store)->NumPages());
+  for (size_t k : {1u, 2u, 4u}) {
+    EXPECT_EQ((*store)->Partition(k), PartitionSubtrees(*doc, k))
+        << "k=" << k;
   }
   // Derived navigation works straight off the record stream.
   ScanCursor nav;
@@ -317,7 +447,7 @@ TEST(DiskStoreTest, EmptyDocumentRoundTrips) {
 /// Drains [begin, end] through NextBlock spans, asserting every span stays
 /// inside the range and inside one block, and that every record matches the
 /// in-RAM document. Returns the cursor's block reads.
-uint64_t DrainRangeBatched(const NodeStore& store, const xml::Document& doc,
+uint64_t DrainRangeBatched(const DiskStore& store, const xml::Document& doc,
                            xml::NodeId begin, xml::NodeId end) {
   ScanCursor cur;
   size_t npp = store.NodesPerPage();
@@ -342,8 +472,8 @@ TEST(DiskStoreTest, NextBlockBoundarySweepPreadVsMmap) {
   // Satellite (b): ranges ending one record before / on / one record after
   // every block boundary — including a final partial block — must serve
   // exact records with exactly ceil(range / nodes_per_block) block reads,
-  // identically in pread mode, mmap mode, and the in-RAM PageStore. The
-  // final short block in particular must be entered (and counted) once.
+  // identically in pread mode and mmap mode. The final short block in
+  // particular must be entered (and counted) once.
   datagen::GenOptions o;
   o.scale = 0.02;
   auto doc = datagen::GenerateDataset(datagen::Dataset::kD2Address, o);
@@ -357,10 +487,9 @@ TEST(DiskStoreTest, NextBlockBoundarySweepPreadVsMmap) {
   popts.block_bytes = 4096;
   auto pstore = DiskStore::Open(path, popts);
   ASSERT_TRUE(pstore.ok()) << pstore.status().ToString();
-  PageStore pages(*doc, 4096);
 
   const xml::NodeId total = static_cast<xml::NodeId>(doc->NumNodes());
-  const size_t npp = pages.NodesPerPage();
+  const size_t npp = 4096 / sizeof(NodeRecord);
   ASSERT_EQ((*mstore)->NodesPerPage(), npp);
   ASSERT_EQ((*pstore)->NodesPerPage(), npp);
   // More than one block, and a final block that is genuinely short.
@@ -381,14 +510,11 @@ TEST(DiskStoreTest, NextBlockBoundarySweepPreadVsMmap) {
         << "mmap end=" << end;
     EXPECT_EQ(DrainRangeBatched(**pstore, *doc, 0, end), expected_reads)
         << "pread end=" << end;
-    EXPECT_EQ(DrainRangeBatched(pages, *doc, 0, end), expected_reads)
-        << "pages end=" << end;
     // Mid-range starts around the same edge: begin inside a block.
     xml::NodeId begin = end / 2;
     uint64_t mid_reads = end / npp - begin / npp + 1;
     EXPECT_EQ(DrainRangeBatched(**mstore, *doc, begin, end), mid_reads);
     EXPECT_EQ(DrainRangeBatched(**pstore, *doc, begin, end), mid_reads);
-    EXPECT_EQ(DrainRangeBatched(pages, *doc, begin, end), mid_reads);
   }
   std::remove(path.c_str());
 }
@@ -431,7 +557,8 @@ TEST(DiskStoreTest, MapRejectsMisalignedImage) {
   auto doc = Parse("<a><b>text</b><c x=\"1\"/></a>");
   auto encoded = EncodeBtsx2(*doc);
   ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  auto raw = std::make_unique<char[]>(encoded->size() + 16);
+  // Slack for up to 16 bytes of alignment shift plus the 1-byte misalign.
+  auto raw = std::make_unique<char[]>(encoded->size() + 32);
   char* aligned = raw.get();
   aligned += 16 - reinterpret_cast<uintptr_t>(aligned) % 16;
   ASSERT_EQ(reinterpret_cast<uintptr_t>(aligned) % 16, 0u);
@@ -455,18 +582,15 @@ TEST(DiskStoreTest, ConcurrentScansSeeIdenticalRecords) {
   opts.cache_budget_bytes = 8 * 4096;  // Force churn under contention.
   auto store = DiskStore::Open(path, opts);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  PageStore pages(*doc, 4096);
+  const std::vector<NodeRecord> expected = ExpectedRecords(*doc);
   util::ThreadPool pool(4);
   std::vector<int> ok(4, 0);
   std::vector<uint64_t> reads(4, 0);
   pool.ParallelFor(4, [&](size_t t) {
     ScanCursor cur;
-    ScanCursor pc;
-    bool good = true;
-    for (xml::NodeId n = 0; n < (*store)->NumNodes(); ++n) {
-      NodeRecord a = (*store)->Get(n, &cur);
-      NodeRecord b = pages.Get(n, &pc);
-      if (std::memcmp(&a, &b, sizeof a) != 0) good = false;
+    bool good = (*store)->NumNodes() == expected.size();
+    for (xml::NodeId n = 0; good && n < expected.size(); ++n) {
+      good = SameRecord((*store)->Get(n, &cur), expected[n]);
     }
     ok[t] = good ? 1 : 0;
     reads[t] = cur.reads;

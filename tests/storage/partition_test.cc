@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "datagen/datagen.h"
-#include "storage/page_store.h"
+#include "storage/btsx2.h"
+#include "storage/disk_store.h"
+#include "storage/node_store.h"
 #include "xml/parser.h"
 
 namespace blossomtree {
@@ -107,16 +112,21 @@ TEST(PartitionTest, GeneratedDatasetsTileCorrectly) {
   }
 }
 
-TEST(PartitionTest, PageStorePartitionMatchesDocumentPartition) {
+TEST(PartitionTest, DiskStorePartitionMatchesDocumentPartition) {
   for (datagen::Dataset d : datagen::AllDatasets()) {
     datagen::GenOptions o;
     o.scale = 0.02;
     auto doc = datagen::GenerateDataset(d, o);
-    PageStore store(*doc);
+    std::string path = ::testing::TempDir() + "/bt_partition_" +
+                       std::string(datagen::DatasetName(d)) + ".btsx2";
+    ASSERT_TRUE(WriteBtsx2(*doc, path).ok());
+    auto store = DiskStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
     for (size_t k : {1, 2, 4, 8}) {
-      EXPECT_EQ(store.Partition(k), PartitionSubtrees(*doc, k))
+      EXPECT_EQ((*store)->Partition(k), PartitionSubtrees(*doc, k))
           << datagen::DatasetName(d) << " k=" << k;
     }
+    std::remove(path.c_str());
   }
 }
 
